@@ -13,6 +13,12 @@ echo "== tier 1: default features =="
 cargo build --release
 cargo test -q
 
+# svmbench (BENCHMARK.json's benchmark) is a package of its own outside
+# the root workspace, so tier 1 does not reach its unit tests — among them
+# the check that `svmbench --list` agrees with BENCHMARK.json.
+echo "== svmbench: unit tests =="
+cargo test -q --offline --manifest-path svmbench/Cargo.toml
+
 echo "== clippy: workspace, default features =="
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -18,6 +18,12 @@
 //!
 //! Replacement is true-LRU per set. Writes never allocate (P54C:
 //! "update cache entries on read miss only").
+//!
+//! Line storage is host memory allocated at the first fill, not when the
+//! cache is built: until then every lookup misses, exactly as on an empty
+//! cache. Shared pages are MPBT-tagged and bypass the L2, so on SVM
+//! workloads most cores never fill theirs, and 512 cores × 8192 L2 lines
+//! × 48 host bytes would otherwise be 192 MiB written and never read.
 
 use crate::config::{CacheGeom, LINE_BYTES};
 
@@ -93,6 +99,8 @@ pub struct Cache {
     /// a shift keeps the per-access lookup free of integer division).
     set_shift: u32,
     assoc: usize,
+    /// `sets * assoc` lines once [`Cache::fill`] has run, empty before: a
+    /// lookup's `get(base..base + assoc)` then finds no ways, i.e. a miss.
     lines: Vec<Line>,
     tick: u64,
 }
@@ -105,9 +113,15 @@ impl Cache {
             sets,
             set_shift: sets.trailing_zeros(),
             assoc: geom.assoc,
-            lines: vec![Line::empty(); sets * geom.assoc],
+            lines: Vec::new(),
             tick: 0,
         }
+    }
+
+    /// Host lines of storage held: 0 until the first fill.
+    #[cfg(test)]
+    pub(crate) fn storage_lines(&self) -> usize {
+        self.lines.capacity()
     }
 
     #[inline]
@@ -129,7 +143,7 @@ impl Cache {
     fn find(&self, la: LineAddr) -> Option<usize> {
         let tag = self.tag_of(la);
         let base = self.set_of(la) * self.assoc;
-        let ways = &self.lines[base..base + self.assoc];
+        let ways = self.lines.get(base..base + self.assoc)?;
         ways.iter()
             .position(|l| l.meta.valid() && l.meta.tag == tag)
             .map(|w| base + w)
@@ -147,7 +161,7 @@ impl Cache {
         let tag = la >> self.set_shift;
         let base = ((la as usize) & (self.sets - 1)) * self.assoc;
         let tick = self.tick + 1;
-        for l in &mut self.lines[base..base + self.assoc] {
+        for l in self.lines.get_mut(base..base + self.assoc)? {
             if l.meta.valid() && l.meta.tag == tag {
                 self.tick = tick;
                 l.meta.lru = tick;
@@ -178,7 +192,10 @@ impl Cache {
         let tag = la >> self.set_shift;
         let base = ((la as usize) & (self.sets - 1)) * self.assoc;
         let tick = self.tick + 1;
-        for l in &mut self.lines[base..base + self.assoc] {
+        let Some(ways) = self.lines.get_mut(base..base + self.assoc) else {
+            return false;
+        };
+        for l in ways {
             if l.meta.valid() && l.meta.tag == tag {
                 self.tick = tick;
                 l.meta.lru = tick;
@@ -195,6 +212,9 @@ impl Cache {
     /// Install line `la` with `data`, returning the victim if it was dirty.
     pub fn fill(&mut self, la: LineAddr, data: [u8; LINE_BYTES], mpbt: bool) -> Option<Writeback> {
         debug_assert!(self.find(la).is_none(), "fill of already-present line");
+        if self.lines.is_empty() {
+            self.lines = vec![Line::empty(); self.sets * self.assoc];
+        }
         self.tick += 1;
         let set = self.set_of(la);
         let victim = self
@@ -499,5 +519,63 @@ mod tests {
         assert!(c.invalidate_line(9));
         assert!(!c.invalidate_line(9));
         assert!(!c.contains(9));
+    }
+
+    /// The SCC's L1 and L2 geometries.
+    fn scc_geoms() -> [CacheGeom; 2] {
+        let cfg = crate::config::SccConfig::default_with(crate::topology::Topology::scc48());
+        [cfg.l1, cfg.l2]
+    }
+
+    /// What every non-filling method returns for line `la`, in call order.
+    type Probe = (
+        Option<u64>,
+        bool,
+        bool,
+        Option<[u8; LINE_BYTES]>,
+        bool,
+        bool,
+        usize,
+        usize,
+        usize,
+    );
+
+    fn probe(c: &mut Cache, la: LineAddr) -> Probe {
+        (
+            c.read(la, 3, 4),
+            c.write_if_present(la, 0, 4, 0x1234, false),
+            c.contains(la),
+            c.peek_line(la),
+            c.absorb_writeback(la, line_of(9)),
+            c.invalidate_line(la),
+            c.invalidate_mpbt(),
+            c.flush_all().len(),
+            c.valid_lines(),
+        )
+    }
+
+    #[test]
+    fn unallocated_cache_answers_like_an_empty_one() {
+        for geom in scc_geoms() {
+            let n = geom.sets() * geom.assoc;
+            let mut lazy = Cache::new(geom);
+            let mut eager = Cache {
+                lines: vec![Line::empty(); n],
+                ..Cache::new(geom)
+            };
+            assert_eq!(lazy.storage_lines(), 0, "{geom:?}: built without storage");
+            for la in [0, 1, geom.sets() as LineAddr, 0x0123_4567] {
+                assert_eq!(probe(&mut lazy, la), probe(&mut eager, la), "{geom:?} line {la}");
+            }
+            assert_eq!(lazy.storage_lines(), 0, "{geom:?}: lookups allocate nothing");
+            // The first fill allocates; after the same fills both hold the
+            // same lines.
+            for la in [7, 7 + geom.sets() as LineAddr] {
+                assert!(lazy.fill(la, line_of(2), false).is_none());
+                assert!(eager.fill(la, line_of(2), false).is_none());
+                assert_eq!(lazy.storage_lines(), n, "{geom:?}");
+                assert_eq!(probe(&mut lazy, la), probe(&mut eager, la), "{geom:?} line {la}");
+            }
+        }
     }
 }

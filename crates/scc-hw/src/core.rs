@@ -100,6 +100,10 @@ pub struct CoreCtx {
     /// (key = `page << 1 | is_write`); see [`CoreCtx::trace_svm_access`].
     #[cfg(feature = "trace")]
     svm_access_memo: std::collections::HashSet<u64>,
+    /// Last page put in `svm_access_memo`, per kind (index = `is_write`);
+    /// `u32::MAX` when none since the last sync action.
+    #[cfg(feature = "trace")]
+    svm_access_last: [u32; 2],
     mach: Arc<MachineInner>,
     sched: Arc<Engine>,
     /// True under the parallel conservative engine: every globally visible
@@ -174,6 +178,8 @@ impl CoreCtx {
             ring: TraceRing::new(&mach.cfg.trace),
             #[cfg(feature = "trace")]
             svm_access_memo: std::collections::HashSet::new(),
+            #[cfg(feature = "trace")]
+            svm_access_last: [u32::MAX; 2],
             shared_base: mach.map.shared_base(),
             priv_base,
             priv_end: priv_base + mach.map.private_bytes(),
@@ -207,18 +213,26 @@ impl CoreCtx {
     /// repeats are dropped (a core's happens-before state is constant
     /// within a segment, so the duplicates carry no extra information —
     /// but they would swamp the rings). No-op without the `trace` feature.
+    ///
+    /// Two checks run before the set: a ring that will not record the
+    /// kind skips it, and a repeat of the kind's last page (Laplace
+    /// alternates reads of one page with writes of another) skips it too.
     #[inline(always)]
     #[allow(unused_variables)]
     pub fn trace_svm_access(&mut self, page: u32, write: bool) {
         #[cfg(feature = "trace")]
         {
-            let key = ((page as u64) << 1) | write as u64;
-            if self.svm_access_memo.insert(key) {
-                let kind = if write {
-                    EventKind::SvmWrite
-                } else {
-                    EventKind::SvmRead
-                };
+            let kind = if write {
+                EventKind::SvmWrite
+            } else {
+                EventKind::SvmRead
+            };
+            let last = &mut self.svm_access_last[write as usize];
+            if *last == page || !self.ring.records(kind) {
+                return;
+            }
+            *last = page;
+            if self.svm_access_memo.insert(((page as u64) << 1) | write as u64) {
                 self.ring.record(self.clock, kind, page, 0);
             }
         }
@@ -231,7 +245,10 @@ impl CoreCtx {
     #[inline(always)]
     pub fn trace_sync_reset(&mut self) {
         #[cfg(feature = "trace")]
-        self.svm_access_memo.clear();
+        {
+            self.svm_access_memo.clear();
+            self.svm_access_last = [u32::MAX; 2];
+        }
     }
 
     /// This core's trace ring (empty without the `trace` feature).
@@ -1013,6 +1030,30 @@ mod tests {
                 0xDEAD,
                 "the dirty L1 victim must be visible after re-read"
             );
+        });
+    }
+
+    #[test]
+    fn l2_storage_waits_for_an_l2_fill() {
+        one_core(|c| {
+            let shared = c.machine().map.shared_base();
+            let mpb = crate::mpb::MpbArray::pa(c.id(), 64);
+            for (pa, attr) in [
+                (shared, MemAttr::SHARED_MPBT_WT),
+                (mpb, MemAttr::MPB),
+                (shared + 4096, MemAttr::UNCACHED),
+            ] {
+                c.write(pa, 4, 0x5a, attr);
+                c.read(pa, 4, attr);
+                c.read(pa + 64, 4, attr);
+            }
+            c.flush_all_caches();
+            assert!(c.l1.storage_lines() > 0, "the MPBT reads filled the L1");
+            assert_eq!(c.l2.storage_lines(), 0, "no access may use the L2");
+            let private = c.machine().map.private_base(c.id());
+            c.read(private, 4, MemAttr::PRIVATE_WB);
+            assert_eq!(c.perf.l2_misses, 1);
+            assert!(c.l2.storage_lines() > 0, "a private read miss fills the L2");
         });
     }
 

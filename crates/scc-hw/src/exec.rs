@@ -123,6 +123,13 @@ pub enum SchedPolicy {
     Baton,
     /// Deterministic pseudo-random pick among the eligible cores, keyed
     /// by `(seed, election counter, slot)`. Same seed, same schedule.
+    ///
+    /// The key input is `seed ^ elections << 8 ^ slot`, which is unique
+    /// per `(election, slot)` only below 256 slots. On larger machines
+    /// (up to [`crate::topology::CORE_LIMIT`]) slot `256 + j` at
+    /// election `e` draws the same key as slot `j` at election `e ^ 1`,
+    /// so their picks are correlated. Changing the hash would move every
+    /// seeded schedule.
     SeededRandom { seed: u64 },
     /// Band-biased baton: lower band wins regardless of clock; within a
     /// band, minimum clock then core id. Slots beyond the vector get
@@ -331,8 +338,9 @@ impl Scheduler {
                 st.clocks[i],
                 i as u64,
             ),
-            // `elections << 8` and `i < MAX_CORES` never overlap bits, so
-            // the hash input is unique per (election, slot).
+            // `elections << 8` and `i` overlap from bit 8 up: the input is
+            // unique per (election, slot) only below 256 slots (see
+            // `SchedPolicy::SeededRandom`).
             SchedPolicy::SeededRandom { seed } => {
                 (splitmix64(seed ^ (st.elections << 8) ^ i as u64), 0, i as u64)
             }

@@ -506,6 +506,14 @@ impl TraceRing {
         TraceRing::default()
     }
 
+    /// Would [`TraceRing::record`] keep an event of `kind`? Callers use
+    /// it to skip work that only feeds the ring.
+    #[cfg(feature = "trace")]
+    #[inline(always)]
+    pub(crate) fn records(&self, kind: EventKind) -> bool {
+        self.cap != 0 && self.mask & kind.bit() != 0
+    }
+
     /// Record one event (two payload slots). The hot-path funnel: compiles
     /// to nothing without the `trace` feature, and to a mask test plus a
     /// ring store with it.
@@ -520,7 +528,7 @@ impl TraceRing {
     pub fn record3(&mut self, t: u64, kind: EventKind, a: u32, b: u32, c: u32) {
         #[cfg(feature = "trace")]
         {
-            if self.cap == 0 || self.mask & kind.bit() == 0 {
+            if !self.records(kind) {
                 return;
             }
             let e = TraceEvent { t, kind, a, b, c };
