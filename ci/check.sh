@@ -13,6 +13,18 @@ echo "== tier 1: default features =="
 cargo build --release
 cargo test -q
 
+# The serial executor wakes each baton winner only after releasing the
+# scheduler lock (DESIGN.md §6). svmbench runs every workload pinned to one
+# CPU, where the waker and the woken thread interleave differently than in
+# the unpinned tier 1 above, so a lost wakeup could show in only one of the
+# two; run the executor's unit tests pinned as well.
+echo "== executor: unit tests pinned to one CPU =="
+if command -v taskset >/dev/null; then
+    timeout 600 taskset -c 0 cargo test -q -p scc-hw --lib exec
+else
+    echo "taskset not found: skipping the pinned executor unit tests"
+fi
+
 # svmbench (BENCHMARK.json's benchmark) is a package of its own outside
 # the root workspace, so tier 1 does not reach its unit tests — among them
 # the check that `svmbench --list` agrees with BENCHMARK.json.

@@ -99,13 +99,40 @@ impl Machine {
         R: Send,
         F: Fn(&mut CoreCtx) -> R + Send + Sync,
     {
-        let cores: Vec<CoreId> = (0..n)
+        self.run_on(&self.first_cores(n)?, f)
+    }
+
+    /// The ids of the first `n` cores; [`HwError::BadConfig`] when the
+    /// machine has fewer.
+    pub fn first_cores(&self, n: usize) -> Result<Vec<CoreId>, HwError> {
+        (0..n)
             .map(|i| {
                 CoreId::try_new(i, &self.inner.cfg.topo)
                     .map_err(|e| HwError::BadConfig(e.to_string()))
             })
-            .collect::<Result<_, _>>()?;
-        self.run_on(&cores, f)
+            .collect()
+    }
+
+    /// Validate a caller's core list for [`Self::run_on`]: non-empty, every
+    /// core on this machine, none listed twice. Anything else is
+    /// [`HwError::BadConfig`].
+    pub fn check_cores(&self, cores: &[CoreId]) -> Result<(), HwError> {
+        if cores.is_empty() {
+            return Err(HwError::BadConfig("need at least one core".into()));
+        }
+        let ncores = self.inner.cfg.ncores;
+        let mut seen = vec![false; ncores];
+        for c in cores {
+            if c.idx() >= ncores {
+                return Err(HwError::BadConfig(format!(
+                    "{c:?} does not exist on this {ncores}-core machine"
+                )));
+            }
+            if std::mem::replace(&mut seen[c.idx()], true) {
+                return Err(HwError::BadConfig(format!("{c:?} listed twice")));
+            }
+        }
+        Ok(())
     }
 
     /// Run `f` on an explicit set of cores (e.g. cores 0 and 30 for the
@@ -115,17 +142,7 @@ impl Machine {
         R: Send,
         F: Fn(&mut CoreCtx) -> R + Send + Sync,
     {
-        assert!(!cores.is_empty(), "need at least one core");
-        let mut seen = vec![false; self.inner.cfg.ncores];
-        for c in cores {
-            assert!(
-                c.idx() < self.inner.cfg.ncores,
-                "{c:?} does not exist on this {}-core machine",
-                self.inner.cfg.ncores
-            );
-            assert!(!seen[c.idx()], "{c:?} listed twice");
-            seen[c.idx()] = true;
-        }
+        self.check_cores(cores)?;
         let engine = Arc::new(if self.inner.cfg.host_fast.parallel {
             // Fault windows and non-baton elections are defined against
             // the serial reference schedule; the parallel engine replays
@@ -306,11 +323,37 @@ mod tests {
         assert!(msg.contains("planted core-program panic"), "got: {msg}");
     }
 
+    /// `run_on`'s core list is caller input: every bad list is a typed
+    /// `BadConfig` naming the problem, never a panic.
+    fn bad_config(r: Result<Vec<CoreResult<()>>, HwError>) -> String {
+        match r {
+            Err(HwError::BadConfig(msg)) => msg,
+            other => panic!("expected BadConfig, got {:?}", other.map(|_| ())),
+        }
+    }
+
     #[test]
-    #[should_panic(expected = "listed twice")]
     fn duplicate_cores_rejected() {
         let m = Machine::new(SccConfig::small()).unwrap();
-        let _ = m.run_on(&[CoreId::new(1), CoreId::new(1)], |_| ());
+        let msg = bad_config(m.run_on(&[CoreId::new(1), CoreId::new(1)], |_| ()));
+        assert!(msg.contains("listed twice"), "got: {msg}");
+    }
+
+    #[test]
+    fn empty_core_list_rejected() {
+        let m = Machine::new(SccConfig::small()).unwrap();
+        let msg = bad_config(m.run_on(&[], |_| ()));
+        assert!(msg.contains("at least one core"), "got: {msg}");
+        assert!(bad_config(m.run(0, |_| ())).contains("at least one core"));
+    }
+
+    #[test]
+    fn out_of_range_core_rejected() {
+        let m = Machine::new(SccConfig::small()).unwrap();
+        let n = m.cfg().ncores;
+        let msg = bad_config(m.run_on(&[CoreId::new(0), CoreId::new(n)], |_| ()));
+        assert!(msg.contains("does not exist"), "got: {msg}");
+        assert!(matches!(m.run(n + 1, |_| ()), Err(HwError::BadConfig(_))));
     }
 
     #[test]

@@ -143,8 +143,7 @@ impl Cluster {
         R: Send,
         F: Fn(&mut Kernel<'_>) -> R + Send + Sync,
     {
-        let cores: Vec<CoreId> = (0..n).map(CoreId::from_raw).collect();
-        self.run_on(&cores, body)
+        self.run_on(&self.machine.first_cores(n)?, body)
     }
 
     /// Boot kernels on an explicit core set and run `body` on each.
@@ -153,6 +152,9 @@ impl Cluster {
         R: Send,
         F: Fn(&mut Kernel<'_>) -> R + Send + Sync,
     {
+        // Validate before the host-side clear below, which would otherwise
+        // index an MPB that does not exist.
+        self.machine.check_cores(cores)?;
         // Host-clear each participant's collective MPB region before any
         // core runs: the tree barrier's arrival/release flags are epoch
         // counters starting from zero, and a previous `run_on` on this
@@ -211,6 +213,20 @@ mod tests {
             mach.map.shared_pages() - (hb as usize / 4096),
             "header pages must not be handed out as frames"
         );
+    }
+
+    #[test]
+    fn core_lists_beyond_the_machine_are_typed_errors() {
+        // Checked before the host-side MPB clear, which would index an MPB
+        // that does not exist.
+        let cl = Cluster::new(SccConfig::small()).unwrap();
+        let n = cl.machine().cfg().ncores;
+        assert!(matches!(cl.run(n + 1, |_| ()), Err(HwError::BadConfig(_))));
+        assert!(matches!(
+            cl.run_on(&[CoreId::new(n)], |_| ()),
+            Err(HwError::BadConfig(_))
+        ));
+        assert!(matches!(cl.run_on(&[], |_| ()), Err(HwError::BadConfig(_))));
     }
 
     #[test]
